@@ -18,13 +18,10 @@ from repro.cpu.isa import (
     Load,
     LockAcquire,
     LockRelease,
-    Op,
-    OpKind,
     SpinUntil,
     Store,
     resolve_operand,
 )
-from repro.errors import ProgramError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.system import Machine
@@ -47,37 +44,12 @@ class BaselineDriver(ProcessorDriver):
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
-    def execute_op(self, op: Op) -> bool:
-        kind = op.kind
-        if kind is OpKind.COMPUTE:
-            assert isinstance(op, Compute)
-            self.window.retire_compute(op.count)
-            return True
-        if kind is OpKind.LOAD:
-            assert isinstance(op, Load)
-            return self._execute_load(op)
-        if kind is OpKind.STORE:
-            assert isinstance(op, Store)
-            return self._execute_store(op)
-        if kind is OpKind.ACQUIRE:
-            assert isinstance(op, LockAcquire)
-            return self._execute_acquire(op)
-        if kind is OpKind.RELEASE:
-            assert isinstance(op, LockRelease)
-            return self._execute_release(op)
-        if kind is OpKind.BARRIER:
-            assert isinstance(op, Barrier)
-            return self._execute_barrier(op)
-        if kind is OpKind.FENCE:
-            assert isinstance(op, Fence)
-            return self._execute_fence(op)
-        if kind is OpKind.SPIN_UNTIL:
-            assert isinstance(op, SpinUntil)
-            return self._execute_spin(op)
-        if kind is OpKind.IO:
-            assert isinstance(op, Io)
-            return self._execute_io(op)
-        raise ProgramError(f"unknown op kind {kind}")
+    #: Every op runs straight from the handler table.
+    execute_op = ProcessorDriver.dispatch
+
+    def _execute_compute(self, op: Compute) -> bool:
+        self.window.retire_compute(op.count)
+        return True
 
     # ------------------------------------------------------------------
     # Hooks each model implements

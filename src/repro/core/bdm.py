@@ -135,18 +135,13 @@ class BDM:
         for chunk in self._active_chunks:
             if not chunk.is_active:
                 continue
-            w_sig = chunk.w_sig
-            bits = getattr(w_sig, "_bits", None)
-            if bits is None:
-                # Exact (set-backed) signatures: no mask fast path.
-                if w_sig.member(line_addr) or chunk.wpriv_sig.member(line_addr):
-                    return True
-                continue
             mask = self._pin_masks.get(line_addr)
             if mask is None:
-                mask = w_sig._hash(line_addr)[0]
+                mask = chunk.w_sig._hash(line_addr)[0]
                 self._pin_masks[line_addr] = mask
-            if (bits & mask) == mask or (chunk.wpriv_sig._bits & mask) == mask:
+            if (chunk.w_sig._bits & mask) == mask or (
+                chunk.wpriv_sig._bits & mask
+            ) == mask:
                 return True
         return False
 

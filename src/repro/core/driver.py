@@ -35,14 +35,12 @@ from repro.cpu.isa import (
     LockAcquire,
     LockRelease,
     Op,
-    OpKind,
     SpinUntil,
     Store,
     resolve_operand,
 )
 from repro.cpu.opstream import (
     K_COMPUTE,
-    K_FENCE,
     K_LOAD,
     K_SLOW,
     K_STORE,
@@ -50,13 +48,17 @@ from repro.cpu.opstream import (
     V_REGPLUS,
     stream_for,
 )
-from repro.errors import ConfigError, ProgramError, SimulationError, StarvationError
+from repro.errors import ConfigError, SimulationError, StarvationError
 from repro.interconnect.network import Network
 from repro.memory.cache import LineState
 from repro.params import PrivateDataMode
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.system import Machine
+
+_COMMITTED = ChunkState.COMMITTED
+_SQUASHED = ChunkState.SQUASHED
+_MODIFIED = LineState.MODIFIED
 
 
 class BulkSCDriver(ProcessorDriver):
@@ -104,44 +106,56 @@ class BulkSCDriver(ProcessorDriver):
         # Starvation watchdog (armed only under fault injection).
         self._starvation_strikes = 0
         self._last_progress_commits = 0
-        # Batched interpreter (docs/performance.md).  The scalar path stays
-        # authoritative for the configurations whose per-op semantics the
-        # fast path does not replicate: statically-private classification
-        # and exact (set-backed) signatures.
+        # Batched interpreter (docs/performance.md).
         mode = os.environ.get("REPRO_INTERPRETER", "").strip() or self.config.interpreter
         if mode not in ("batched", "scalar"):
             raise ConfigError(f"REPRO_INTERPRETER={mode!r} (expected batched|scalar)")
-        self._batched = (
-            mode == "batched"
-            and self.private_mode is not PrivateDataMode.STATIC
-            and not self.config.signature.exact
-        )
-        self._sig_mirror = self.config.signature.track_exact
-        # line address -> packed Bloom insert mask, for this machine's
-        # signature geometry (the per-driver face of the array-signature
-        # API; see signatures/bloom.py masks_of).
+        self._batched = mode == "batched"
+        # The Bloom ground-truth mirror; exact signatures are their own.
+        signature = self.config.signature
+        self._sig_mirror = signature.track_exact and not signature.exact
+        # line address -> insert mask for this machine's signatures (a
+        # packed Bloom int, or a one-member set for exact signatures; see
+        # signatures/exact.py).
         self._mask_memo: dict = {}
         # Hot-line memos: line -> resident CacheLine.  An entry asserts
         # the line is L1-resident with its fetch fast-path guards held
-        # and its address already in the current chunk's R (rd) / W (wr)
-        # signature, so a repeat access skips all of that work.  Every
-        # action that could falsify an entry clears the memo: the batched
-        # loop clears after each of its own slow call-outs (fills evict,
+        # and its store/load classification settled for the current chunk:
+        # in R (rd), in W or statically-private Wpriv (wr), or statically
+        # private and untracked (rd).  A repeat access skips all of that
+        # work.  Every action that could falsify an entry clears the memo:
+        # the batched loop clears after each scalar call-out (fills evict,
         # chunk switches reset signatures), and remote effects land only
         # through on_incoming_commit / _squash_from, which clear too.
         # Read-disable windows are re-checked per access instead.
         self._rd_ok: dict = {}
         self._wr_ok: dict = {}
-        # line -> (CacheLine, mask): dynamically-private repeats — the
-        # store classification is a settled no-op (Wpriv holds the line)
-        # as long as the line stays dirty and its W mask stays clear,
-        # which the fast path re-checks per store.
-        self._pv_ok: dict = {}
-        self._stream = (
-            stream_for(thread.program, self.address_map.line_shift)
-            if self._batched
-            else None
-        )
+        self._stream = None
+        self._private_ops = b""
+        if self._batched:
+            self._stream = stream_for(thread.program, self.address_map.line_shift)
+            self._private_ops = self._static_private_flags(self._stream)
+
+    def _static_private_flags(self, stream) -> bytes:
+        """Per-op flag: a load/store to statically-private data (5.1).
+
+        Classified once per driver instead of per access.  Regions are
+        line-aligned, so the flag is a property of the line: it is looked
+        up once per line, and the batched loop's line-keyed memos hold.
+        """
+        if self.private_mode is not PrivateDataMode.STATIC:
+            return bytes(stream.length)
+        flags = bytearray(stream.length)
+        is_private = self.address_space.is_statically_private
+        by_line: dict = {}
+        for pc, kind in enumerate(stream.kinds):
+            if kind == K_LOAD or kind == K_STORE:
+                line = stream.args[pc] >> stream.line_shift
+                private = by_line.get(line)
+                if private is None:
+                    private = by_line[line] = is_private(stream.args[pc], self.proc)
+                flags[pc] = private
+        return bytes(flags)
 
     # ==================================================================
     # Starvation watchdog (resilience, fault injection only)
@@ -365,7 +379,6 @@ class BulkSCDriver(ProcessorDriver):
         # the batched interpreter's hot-line memos rely on.
         self._rd_ok.clear()
         self._wr_ok.clear()
-        self._pv_ok.clear()
         w_commit = committing_chunk.w_sig
         colliding = self.bdm.disambiguate(w_commit)
         if not colliding and not on_invalidation_list:
@@ -388,7 +401,6 @@ class BulkSCDriver(ProcessorDriver):
         """Squash ``oldest`` and every younger local chunk, then replay."""
         self._rd_ok.clear()
         self._wr_ok.clear()
-        self._pv_ok.clear()
         chain = [
             c
             for c in self.bdm.active_chunks()
@@ -460,46 +472,33 @@ class BulkSCDriver(ProcessorDriver):
         return False
 
     def execute_op(self, op: Op) -> bool:
+        return self._chunk_ready() and self.dispatch(op)
+
+    def _chunk_ready(self) -> bool:
+        """Ensure an executing chunk with room for the next op.
+
+        Closes the current chunk at its size budget.  False (with the
+        block reason recorded) when every chunk slot is busy committing.
+        """
         self._block_reason = None
         if not self._ensure_chunk():
-            return self._block("slot")  # all chunk slots busy committing
+            return self._block("slot")
         assert self._current is not None
         if self.policy.should_close(self._current.instructions):
             self._close_current("size")
             if not self._ensure_chunk():
                 return self._block("slot")
-        kind = op.kind
-        if kind is OpKind.COMPUTE:
-            assert isinstance(op, Compute)
-            self.window.retire_compute(op.count)
-            self._current.instructions += op.count
-            return True
-        if kind is OpKind.LOAD:
-            assert isinstance(op, Load)
-            return self._execute_load(op)
-        if kind is OpKind.STORE:
-            assert isinstance(op, Store)
-            return self._execute_store(op)
-        if kind is OpKind.ACQUIRE:
-            assert isinstance(op, LockAcquire)
-            return self._execute_acquire(op)
-        if kind is OpKind.RELEASE:
-            assert isinstance(op, LockRelease)
-            return self._execute_release(op)
-        if kind is OpKind.BARRIER:
-            assert isinstance(op, Barrier)
-            return self._execute_barrier(op)
-        if kind is OpKind.FENCE:
-            # BulkSC needs no fences: SC comes from chunk serialization.
-            self._current.instructions += 1
-            return True
-        if kind is OpKind.SPIN_UNTIL:
-            assert isinstance(op, SpinUntil)
-            return self._execute_spin(op)
-        if kind is OpKind.IO:
-            assert isinstance(op, Io)
-            return self._execute_io(op)
-        raise ProgramError(f"unknown op kind {kind}")
+        return True
+
+    def _execute_compute(self, op: Compute) -> bool:
+        self.window.retire_compute(op.count)
+        self._current.instructions += op.count
+        return True
+
+    def _execute_fence(self, op: Fence) -> bool:
+        # BulkSC needs no fences: SC comes from chunk serialization.
+        self._current.instructions += 1
+        return True
 
     # ==================================================================
     # Batched interpreter (tentpole of docs/performance.md)
@@ -507,65 +506,66 @@ class BulkSCDriver(ProcessorDriver):
     def _run_until(self, batch_end: float) -> None:
         """Execute a pre-compiled op-stream run as one batched step.
 
-        Straight-line COMPUTE/LOAD/STORE/FENCE ops run through inlined
-        fast paths that replicate the scalar handlers' observable effects
-        exactly — same counters, same cursor arithmetic, same chunk
-        logs — while hoisting attribute lookups and method dispatch out
-        of the per-op loop.  Anything that can block or synchronize
-        (acquire, barrier, spin, I/O), and any memory op whose fetch
-        needs real coherence work (L1 miss, read-disable bounce, Wpriv
-        intervention, set overflow, dirty-nonspeculative store), falls
-        back to the scalar handlers after syncing the cached thread and
-        window state.
+        Ops whose effects stay local to the processor run inline: compute
+        bursts, fences, and loads/stores that hit in L1 with no coherence
+        action and need no store reclassification.  They replicate the
+        scalar handlers' observable effects exactly (same counters, same
+        cursor arithmetic, same chunk logs) with attribute lookups and
+        method dispatch hoisted out of the per-op loop.  Every other op
+        (an L1 miss, a read-disable bounce, a first store to a dirty
+        committed line, an op that can block or synchronize) goes whole
+        to its scalar handler (:meth:`dispatch`), and a chunk boundary to
+        :meth:`_chunk_ready`, from a single call-out site: cached
+        thread/window/chunk state is synced before the call and
+        reloaded after it.
 
         No simulator events fire inside a batch (commits and squashes are
-        delayed events), so thread/window/chunk state cached in locals
-        cannot be mutated behind our back; it is synced at every
-        non-inlined call and at every exit.
+        delayed events), so state cached in locals cannot be mutated
+        behind our back between call-outs.
         """
         if not self._batched:
             super()._run_until(batch_end)
             return
-        # ---- hoisted state (live objects; mutated in place) ----
         thread = self.thread
         stream = self._stream
+        n = stream.length
+        if thread.pc >= n:
+            # Nothing left to run (an idle processor's empty program, or a
+            # resume at the end): skip the hoisting below.
+            thread.finished = True
+            self._finish()
+            return
+        # ---- hoisted state (live objects; mutated in place) ----
+        ops = thread.program.ops
         kinds = stream.kinds
         argv = stream.args
-        linev = stream.lines
-        regv = stream.regs
-        vspecv = stream.vspecs
-        n = stream.length
-        program = thread.program
+        operands = stream.operands
+        line_shift = stream.line_shift
+        privv = self._private_ops
         window = self.window
         win_deque = window._window
         iwindow = window.config.instruction_window
         per_instr = window._per_instruction
         l1_rt = window._l1_round_trip
-        machine = self.machine
         proc = self.proc
         l1 = self.coherence.l1s[proc]
         l1_sets = l1._sets
         set_mask = l1._set_mask
-        assoc = l1.associativity
         l1_clock = l1._lru_clock
         mem = self.memory
         mem_words = mem._words
-        registers = thread.registers
         bdm = self.bdm
         actives = bdm._active_chunks
-        pinned = bdm.pinned
         policy = self.policy
         mask_memo = self._mask_memo
         mirror = self._sig_mirror
         dir_mask = self.address_map._dir_mask
         dir_peeks = [d.peek for d in self.coherence.directories]
-        read_disabled = [db._read_disabled for db in machine.dirbdms]
-        committed = ChunkState.COMMITTED
-        squashed = ChunkState.SQUASHED
-        executing = ChunkState.EXECUTING
-        complete = ChunkState.COMPLETE
-        arbitrating = ChunkState.ARBITRATING
-        modified = LineState.MODIFIED
+        read_disabled = [db._read_disabled for db in self.machine.dirbdms]
+        # Module aliases: an enum member lookup costs several global ones.
+        committed = _COMMITTED
+        squashed = _SQUASHED
+        modified = _MODIFIED
         k_slow = K_SLOW
         k_compute = K_COMPUTE
         k_load = K_LOAD
@@ -574,148 +574,73 @@ class BulkSCDriver(ProcessorDriver):
         v_regplus = V_REGPLUS
         rd_ok = self._rd_ok
         wr_ok = self._wr_ok
-        pv_ok = self._pv_ok
-        # ---- cached scalars (synced to thread/window at call-outs) ----
-        # ``chunk_instr``/``l1_hits``/``mem_reads`` shadow attributes the
-        # loop bumps on every op; call-outs can both read and bump them
-        # (l1.lookup inside bulk_fetch, chunk stats at close), so every
-        # sync block writes all three back and every reload block
-        # re-reads them.
-        pc = thread.pc
-        retired = thread.retired_instructions
-        cursor = window.retire_cursor
-        win_instr = window._window_instructions
-        chunk = self._current
-        target = policy._target
-        l1_hits = l1.hits
-        mem_reads = mem.reads
-        chunk_instr = 0
-        if chunk is not None:
-            chunk_instr = chunk.instructions
-            cur_wb = chunk.write_buffer
-            cur_wb_get = cur_wb.get
-            cur_ops_append = chunk.ops.append
         while True:
-            if pc >= n:
-                thread.pc = pc
-                thread.retired_instructions = retired
-                thread.finished = True
-                window.retire_cursor = cursor
-                window._window_instructions = win_instr
-                l1.hits = l1_hits
-                mem.reads = mem_reads
-                if chunk is not None:
-                    chunk.instructions = chunk_instr
-                self._finish()
-                return
-            kind = kinds[pc]
-            if kind == k_slow:
-                thread.pc = pc
-                thread.retired_instructions = retired
-                thread.finished = False
-                window.retire_cursor = cursor
-                window._window_instructions = win_instr
-                l1.hits = l1_hits
-                mem.reads = mem_reads
-                if chunk is not None:
-                    chunk.instructions = chunk_instr
-                if not self.execute_op(program[pc]):
-                    self.state = DriverState.BLOCKED
-                    return
-                thread.advance()
-                pc = thread.pc
-                retired = thread.retired_instructions
-                cursor = window.retire_cursor
-                win_instr = window._window_instructions
-                chunk = self._current
-                target = policy._target
-                l1_hits = l1.hits
-                mem_reads = mem.reads
-                rd_ok.clear()
-                wr_ok.clear()
-                pv_ok.clear()
-                if chunk is not None:
-                    chunk_instr = chunk.instructions
-                    cur_wb = chunk.write_buffer
-                    cur_wb_get = cur_wb.get
-                    cur_ops_append = chunk.ops.append
-                if cursor >= batch_end:
-                    break
-                continue
-            # ---- execute_op preamble: chunk slot + size boundary ----
-            if chunk is None:
-                thread.pc = pc
-                thread.retired_instructions = retired
-                thread.finished = False
-                window.retire_cursor = cursor
-                window._window_instructions = win_instr
-                l1.hits = l1_hits
-                mem.reads = mem_reads
-                if not self._ensure_chunk():
-                    self._block("slot")
-                    self.state = DriverState.BLOCKED
-                    return
-                cursor = window.retire_cursor  # pre-arbitration may stall
-                win_instr = window._window_instructions
-                chunk = self._current
-                target = policy._target
-                l1_hits = l1.hits
-                mem_reads = mem.reads
+            # ---- cached state: loaded here, synced back at every exit ----
+            pc = thread.pc
+            retired = thread.retired_instructions
+            registers = thread.registers
+            cursor = window.retire_cursor
+            win_instr = window._window_instructions
+            l1_hits = l1.hits
+            mem_reads = mem.reads
+            chunk = self._current
+            target = policy._target
+            chunk_instr = target  # no chunk: the first op takes the call-out
+            if chunk is not None:
                 chunk_instr = chunk.instructions
-                rd_ok.clear()
-                wr_ok.clear()
-                pv_ok.clear()
                 cur_wb = chunk.write_buffer
                 cur_wb_get = cur_wb.get
                 cur_ops_append = chunk.ops.append
-            elif chunk_instr >= target:
-                thread.pc = pc
-                thread.retired_instructions = retired
-                thread.finished = False
-                window.retire_cursor = cursor
-                window._window_instructions = win_instr
-                l1.hits = l1_hits
-                mem.reads = mem_reads
-                chunk.instructions = chunk_instr
-                self._close_current("size")
-                if not self._ensure_chunk():
-                    self._block("slot")
-                    self.state = DriverState.BLOCKED
-                    return
-                cursor = window.retire_cursor
-                win_instr = window._window_instructions
-                chunk = self._current
-                target = policy._target
-                l1_hits = l1.hits
-                mem_reads = mem.reads
-                chunk_instr = chunk.instructions
-                rd_ok.clear()
-                wr_ok.clear()
-                pv_ok.clear()
-                cur_wb = chunk.write_buffer
-                cur_wb_get = cur_wb.get
-                cur_ops_append = chunk.ops.append
-            if kind == k_compute:
-                cnt = argv[pc]
-                cursor += cnt * per_instr
-                win_deque.append((cursor, cnt))
-                win_instr += cnt
-                while win_deque and win_instr - win_deque[0][1] >= iwindow:
-                    win_instr -= win_deque.popleft()[1]
-                chunk_instr += cnt
-                retired += cnt
-                pc += 1
-                if cursor >= batch_end:
+            at_end = slow = False
+            while True:
+                if pc >= n:
+                    at_end = True
                     break
-                continue
-            if kind == k_load:
-                addr = argv[pc]
-                line = linev[pc]
-                di = line & dir_mask
-                cl = rd_ok.get(line)
-                if cl is not None and not read_disabled[di]:
-                    # Memoized repeat: line resident, fetch guards held,
-                    # already in this chunk's R signature (see _rd_ok).
+                kind = kinds[pc]
+                if kind == k_slow or chunk_instr >= target:
+                    slow = True
+                    break
+                if kind == k_compute:
+                    cnt = argv[pc]
+                    cursor += cnt * per_instr
+                elif kind == k_load:
+                    addr = argv[pc]
+                    line = addr >> line_shift
+                    di = line & dir_mask
+                    if read_disabled[di]:
+                        slow = True
+                        break
+                    cl = rd_ok.get(line)
+                    if cl is None:
+                        # First load of the line this chunk: inline only
+                        # the interception-free L1 hit.
+                        cset = l1_sets.get(line & set_mask)
+                        cl = cset.get(line) if cset is not None else None
+                        if cl is None:
+                            slow = True
+                            break
+                        entry = dir_peeks[di](line)
+                        if not (
+                            entry is None
+                            or not entry.dirty
+                            or entry.owner is None
+                            or entry.owner == proc
+                        ):
+                            slow = True
+                            break
+                        # R signature + ground truth; statically-private
+                        # loads are not tracked.
+                        if not privv[pc]:
+                            rm = mask_memo.get(line)
+                            if rm is None:
+                                rm = mask_memo[line] = chunk.r_sig._hash(line)[0]
+                            r_sig = chunk.r_sig
+                            r_sig._bits |= rm
+                            if mirror:
+                                r_sig._exact.add(line)
+                            chunk.true_read_lines.add(line)
+                        rd_ok[line] = cl
+                    # Forward from local chunk write buffers, else memory.
                     value = cur_wb_get(addr)
                     if value is None:
                         if len(actives) == 1:
@@ -739,419 +664,142 @@ class BulkSCDriver(ProcessorDriver):
                                 bdm.log_forward(line, chunk.chunk_id)
                     cl.lru_stamp = next(l1_clock)
                     l1_hits += 1
+                    # Blocking retire at L1 latency (retire_memory hit path,
+                    # decode_time in its O(1) oldest-entry form).
                     if win_instr < iwindow:
                         completion = l1_rt
                     else:
                         rt0, c0 = win_deque[0]
-                        fetch_start = (
-                            rt0 - (iwindow - (win_instr - c0)) * per_instr
-                        )
+                        fetch_start = rt0 - (iwindow - (win_instr - c0)) * per_instr
                         if fetch_start < 0.0:
                             fetch_start = 0.0
                         completion = fetch_start + l1_rt
                     pipeline = cursor + per_instr
                     cursor = completion if completion > pipeline else pipeline
-                    win_deque.append((cursor, 1))
-                    win_instr += 1
-                    while (
-                        win_deque
-                        and win_instr - win_deque[0][1] >= iwindow
-                    ):
-                        win_instr -= win_deque.popleft()[1]
-                    registers[regv[pc]] = value
+                    registers[operands[pc]] = value
                     cur_ops_append((False, addr, value, pc))
-                    chunk_instr += 1
-                    retired += 1
-                    pc += 1
-                    if cursor >= batch_end:
+                    cnt = 1
+                elif kind == k_store:
+                    addr = argv[pc]
+                    line = addr >> line_shift
+                    di = line & dir_mask
+                    if read_disabled[di]:
+                        slow = True
                         break
-                    continue
-                # Set-overflow guard (cache.would_overflow + bdm.pinned).
-                cset = l1_sets.get(line & set_mask)
-                if cset is not None and line not in cset and len(cset) >= assoc:
-                    all_pinned = True
-                    for resident in cset:
-                        rm = mask_memo.get(resident)
-                        if rm is None:
-                            rm = chunk.r_sig._hash(resident)[0]
-                            mask_memo[resident] = rm
-                        resident_pinned = False
-                        for c in actives:
-                            st = c.state
-                            if (
-                                st is executing
-                                or st is complete
-                                or st is arbitrating
-                            ) and (
-                                (c.w_sig._bits & rm) == rm
-                                or (c.wpriv_sig._bits & rm) == rm
-                            ):
-                                resident_pinned = True
-                                break
-                        if not resident_pinned:
-                            all_pinned = False
-                            break
-                    if all_pinned:
-                        thread.pc = pc
-                        thread.retired_instructions = retired
-                        thread.finished = False
-                        window.retire_cursor = cursor
-                        window._window_instructions = win_instr
-                        l1.hits = l1_hits
-                        mem.reads = mem_reads
-                        chunk.instructions = chunk_instr
-                        if not self._check_overflow(line):
-                            self.state = DriverState.BLOCKED
-                            return
-                        cursor = window.retire_cursor
-                        win_instr = window._window_instructions
-                        chunk = self._current
-                        target = policy._target
-                        l1_hits = l1.hits
-                        mem_reads = mem.reads
-                        chunk_instr = chunk.instructions
-                        rd_ok.clear()
-                        wr_ok.clear()
-                        pv_ok.clear()
-                        cur_wb = chunk.write_buffer
-                        cur_wb_get = cur_wb.get
-                        cur_ops_append = chunk.ops.append
-                        cset = l1_sets.get(line & set_mask)
-                # R signature + ground truth (signatures/bloom insert).
-                rm = mask_memo.get(line)
-                if rm is None:
-                    rm = chunk.r_sig._hash(line)[0]
-                    mask_memo[line] = rm
-                r_sig = chunk.r_sig
-                r_sig._bits |= rm
-                if mirror:
-                    r_sig._exact.add(line)
-                chunk.true_read_lines.add(line)
-                # Forward from local chunk write buffers, else memory.
-                value = None
-                source = None
-                for c in reversed(actives):
-                    st = c.state
-                    if st is committed or st is squashed:
-                        continue
-                    v = c.write_buffer.get(addr)
-                    if v is not None:
-                        value = v
-                        source = c
-                        break
-                if source is None:
-                    mem_reads += 1
-                    value = mem_words.get(addr, 0)
-                elif source is not chunk:
-                    bdm.log_forward(line, chunk.chunk_id)
-                # Fetch: inline only the interception-free L1 hit.
-                cl = cset.get(line) if cset is not None else None
-                hit = False
-                if cl is not None and not read_disabled[di]:
-                    entry = dir_peeks[di](line)
-                    if (
-                        entry is None
-                        or not entry.dirty
-                        or entry.owner is None
-                        or entry.owner == proc
-                    ):
-                        cl.lru_stamp = next(l1_clock)
-                        l1_hits += 1
-                        # Blocking retire at L1 latency (retire_memory hit
-                        # path, decode_time in its O(1) oldest-entry form).
-                        if win_instr < iwindow:
-                            completion = l1_rt
-                        else:
-                            rt0, c0 = win_deque[0]
-                            fetch_start = (
-                                rt0 - (iwindow - (win_instr - c0)) * per_instr
-                            )
-                            if fetch_start < 0.0:
-                                fetch_start = 0.0
-                            completion = fetch_start + l1_rt
-                        pipeline = cursor + per_instr
-                        cursor = (
-                            completion if completion > pipeline else pipeline
-                        )
-                        win_deque.append((cursor, 1))
-                        win_instr += 1
-                        while (
-                            win_deque
-                            and win_instr - win_deque[0][1] >= iwindow
-                        ):
-                            win_instr -= win_deque.popleft()[1]
-                        hit = True
-                        rd_ok[line] = cl
-                if not hit:
-                    thread.pc = pc
-                    thread.retired_instructions = retired
-                    thread.finished = False
-                    window.retire_cursor = cursor
-                    window._window_instructions = win_instr
-                    l1.hits = l1_hits
-                    mem.reads = mem_reads
-                    chunk.instructions = chunk_instr
-                    outcome = machine.bulk_fetch(proc, line, cursor, pinned)
-                    window.retire_memory(
-                        outcome.latency, blocking=True, line_addr=line
-                    )
-                    cursor = window.retire_cursor
-                    win_instr = window._window_instructions
-                    l1_hits = l1.hits
-                    mem_reads = mem.reads
-                    chunk_instr = chunk.instructions
-                    rd_ok.clear()
-                    wr_ok.clear()
-                    pv_ok.clear()
-                registers[regv[pc]] = value
-                chunk.ops.append((False, addr, value, pc))
-                chunk_instr += 1
-                retired += 1
-                pc += 1
-                if cursor >= batch_end:
-                    break
-                continue
-            if kind == k_store:
-                addr = argv[pc]
-                line = linev[pc]
-                di = line & dir_mask
-                cl = wr_ok.get(line)
-                if cl is None:
-                    ent = pv_ok.get(line)
-                    if ent is not None:
-                        # Wpriv repeat: classification stays a no-op only
-                        # while the line is still dirty and its W mask is
-                        # still clear (else scalar re-routes the store).
-                        pcl, prm = ent
-                        if pcl.state is modified and (
-                            chunk.w_sig._bits & prm
-                        ) != prm:
-                            cl = pcl
-                if cl is not None and not read_disabled[di]:
-                    # Memoized repeat: resident, guards held, and the
-                    # W/Wpriv classification is settled for this chunk.
-                    vs = vspecv[pc]
-                    vk = vs[0]
-                    if vk == v_lit:
+                    # Store value (resolve_operand, pre-split); an
+                    # unresolvable operand raises from the scalar handler.
+                    vs = operands[pc]
+                    if vs[0] == v_lit:
                         value = vs[1]
                     else:
                         value = registers.get(vs[1])
                         if value is None:
-                            thread.pc = pc
-                            thread.retired_instructions = retired
-                            thread.finished = False
-                            window.retire_cursor = cursor
-                            window._window_instructions = win_instr
-                            l1.hits = l1_hits
-                            mem.reads = mem_reads
-                            chunk.instructions = chunk_instr
-                            resolve_operand(program[pc].value, registers)
-                            raise ProgramError(
-                                f"unresolvable store operand at pc {pc}"
-                            )
-                        if vk == v_regplus:
-                            value = value + vs[2]
+                            slow = True
+                            break
+                        if vs[0] == v_regplus:
+                            value += vs[2]
+                    cl = wr_ok.get(line)
+                    if cl is None:
+                        # Classify into Wpriv (statically private) or W
+                        # while inlining only the interception-free L1 hit.
+                        cset = l1_sets.get(line & set_mask)
+                        cl = cset.get(line) if cset is not None else None
+                        if cl is None:
+                            slow = True
+                            break
+                        entry = dir_peeks[di](line)
+                        if not (
+                            entry is None
+                            or not entry.dirty
+                            or entry.owner is None
+                            or entry.owner == proc
+                        ):
+                            slow = True
+                            break
+                        rm = mask_memo.get(line)
+                        if rm is None:
+                            rm = mask_memo[line] = chunk.r_sig._hash(line)[0]
+                        if privv[pc]:
+                            wpriv_sig = chunk.wpriv_sig
+                            wpriv_sig._bits |= rm
+                            if mirror:
+                                wpriv_sig._exact.add(line)
+                            chunk.true_private_lines.add(line)
+                            wr_ok[line] = cl
+                        elif cl.state is not modified or (
+                            chunk.w_sig._bits & rm
+                        ) == rm:
+                            w_sig = chunk.w_sig
+                            w_sig._bits |= rm
+                            if mirror:
+                                w_sig._exact.add(line)
+                            chunk.true_written_lines.add(line)
+                            wr_ok[line] = cl
+                        elif line not in chunk.true_private_lines:
+                            # Dirty and not yet speculatively written:
+                            # private buffering or eager writeback.
+                            slow = True
+                            break
+                        # Else a settled dynamically-private repeat: Wpriv
+                        # holds the line; not memoized, since a store to
+                        # an aliasing line can set its W mask.
                     cl.lru_stamp = next(l1_clock)
                     l1_hits += 1
+                    # Stores retire wait-free (non-blocking).
                     cursor += per_instr
-                    win_deque.append((cursor, 1))
-                    win_instr += 1
-                    while (
-                        win_deque
-                        and win_instr - win_deque[0][1] >= iwindow
-                    ):
-                        win_instr -= win_deque.popleft()[1]
                     cur_wb[addr] = value
                     cur_ops_append((True, addr, value, pc))
+                    cnt = 1
+                else:
+                    # K_FENCE: BulkSC needs no fence work, just accounting.
                     chunk_instr += 1
                     retired += 1
                     pc += 1
                     if cursor >= batch_end:
                         break
                     continue
-                # Set-overflow guard (identical to the load path).
-                cset = l1_sets.get(line & set_mask)
-                if cset is not None and line not in cset and len(cset) >= assoc:
-                    all_pinned = True
-                    for resident in cset:
-                        rm = mask_memo.get(resident)
-                        if rm is None:
-                            rm = chunk.r_sig._hash(resident)[0]
-                            mask_memo[resident] = rm
-                        resident_pinned = False
-                        for c in actives:
-                            st = c.state
-                            if (
-                                st is executing
-                                or st is complete
-                                or st is arbitrating
-                            ) and (
-                                (c.w_sig._bits & rm) == rm
-                                or (c.wpriv_sig._bits & rm) == rm
-                            ):
-                                resident_pinned = True
-                                break
-                        if not resident_pinned:
-                            all_pinned = False
-                            break
-                    if all_pinned:
-                        thread.pc = pc
-                        thread.retired_instructions = retired
-                        thread.finished = False
-                        window.retire_cursor = cursor
-                        window._window_instructions = win_instr
-                        l1.hits = l1_hits
-                        mem.reads = mem_reads
-                        chunk.instructions = chunk_instr
-                        if not self._check_overflow(line):
-                            self.state = DriverState.BLOCKED
-                            return
-                        cursor = window.retire_cursor
-                        win_instr = window._window_instructions
-                        chunk = self._current
-                        target = policy._target
-                        l1_hits = l1.hits
-                        mem_reads = mem.reads
-                        chunk_instr = chunk.instructions
-                        rd_ok.clear()
-                        wr_ok.clear()
-                        pv_ok.clear()
-                        cur_wb = chunk.write_buffer
-                        cur_wb_get = cur_wb.get
-                        cur_ops_append = chunk.ops.append
-                        cset = l1_sets.get(line & set_mask)
-                # Store value (resolve_operand, pre-split).
-                vs = vspecv[pc]
-                vk = vs[0]
-                if vk == v_lit:
-                    value = vs[1]
-                else:
-                    value = registers.get(vs[1])
-                    if value is None:
-                        thread.pc = pc
-                        thread.retired_instructions = retired
-                        thread.finished = False
-                        window.retire_cursor = cursor
-                        window._window_instructions = win_instr
-                        l1.hits = l1_hits
-                        mem.reads = mem_reads
-                        chunk.instructions = chunk_instr
-                        resolve_operand(program[pc].value, registers)  # raises
-                        raise ProgramError(
-                            f"unresolvable store operand at pc {pc}"
-                        )
-                    if vk == v_regplus:
-                        value = value + vs[2]
-                # Classify into W (the dirty-nonspeculative cases — private
-                # buffering / eager writeback — go through the scalar path).
-                rm = mask_memo.get(line)
-                if rm is None:
-                    rm = chunk.r_sig._hash(line)[0]
-                    mask_memo[line] = rm
-                cl = cset.get(line) if cset is not None else None
-                w_sig = chunk.w_sig
-                if (
-                    cl is not None
-                    and cl.state is modified
-                    and (w_sig._bits & rm) != rm
-                ):
-                    thread.pc = pc
-                    thread.retired_instructions = retired
-                    thread.finished = False
-                    window.retire_cursor = cursor
-                    window._window_instructions = win_instr
-                    l1.hits = l1_hits
-                    mem.reads = mem_reads
-                    chunk.instructions = chunk_instr
-                    self._classify_store(chunk, addr, line)
-                    cursor = window.retire_cursor
-                    win_instr = window._window_instructions
-                    l1_hits = l1.hits
-                    mem_reads = mem.reads
-                    chunk_instr = chunk.instructions
-                else:
-                    w_sig._bits |= rm
-                    if mirror:
-                        w_sig._exact.add(line)
-                    chunk.true_written_lines.add(line)
-                # Fetch: inline only the interception-free L1 hit; stores
-                # retire wait-free (non-blocking).
-                hit = False
-                if cl is not None and not read_disabled[di]:
-                    entry = dir_peeks[di](line)
-                    if (
-                        entry is None
-                        or not entry.dirty
-                        or entry.owner is None
-                        or entry.owner == proc
-                    ):
-                        cl.lru_stamp = next(l1_clock)
-                        l1_hits += 1
-                        cursor += per_instr
-                        win_deque.append((cursor, 1))
-                        win_instr += 1
-                        while (
-                            win_deque
-                            and win_instr - win_deque[0][1] >= iwindow
-                        ):
-                            win_instr -= win_deque.popleft()[1]
-                        hit = True
-                        if (w_sig._bits & rm) == rm:
-                            # Require the true set, not just mask bits:
-                            # an aliased W test must keep replaying the
-                            # scalar insert (it mutates the W mirror).
-                            if line in chunk.true_written_lines:
-                                wr_ok[line] = cl
-                        elif (
-                            (chunk.wpriv_sig._bits & rm) == rm
-                            and cl.state is modified
-                        ):
-                            pv_ok[line] = (cl, rm)
-                if not hit:
-                    thread.pc = pc
-                    thread.retired_instructions = retired
-                    thread.finished = False
-                    window.retire_cursor = cursor
-                    window._window_instructions = win_instr
-                    l1.hits = l1_hits
-                    mem.reads = mem_reads
-                    chunk.instructions = chunk_instr
-                    outcome = machine.bulk_fetch(proc, line, cursor, pinned)
-                    window.retire_memory(
-                        outcome.latency, blocking=False, line_addr=line
-                    )
-                    cursor = window.retire_cursor
-                    win_instr = window._window_instructions
-                    l1_hits = l1.hits
-                    mem_reads = mem.reads
-                    chunk_instr = chunk.instructions
-                    rd_ok.clear()
-                    wr_ok.clear()
-                    pv_ok.clear()
-                chunk.write_buffer[addr] = value
-                chunk.ops.append((True, addr, value, pc))
-                chunk_instr += 1
-                retired += 1
+                win_deque.append((cursor, cnt))
+                win_instr += cnt
+                while win_deque and win_instr - win_deque[0][1] >= iwindow:
+                    win_instr -= win_deque.popleft()[1]
+                chunk_instr += cnt
+                retired += cnt
                 pc += 1
                 if cursor >= batch_end:
                     break
+            thread.pc = pc
+            thread.retired_instructions = retired
+            thread.finished = pc >= n
+            window.retire_cursor = cursor
+            window._window_instructions = win_instr
+            l1.hits = l1_hits
+            mem.reads = mem_reads
+            if chunk is not None:
+                chunk.instructions = chunk_instr
+            if at_end:
+                self._finish()
+                return
+            if not slow:
+                return  # batch budget exhausted: yield to the event loop
+            # The scalar call-out.  Fills evict and chunk switches reset
+            # signatures, so the hot-line memos start over.
+            rd_ok.clear()
+            wr_ok.clear()
+            if chunk_instr >= target:
+                # Chunk boundary: open the next chunk, then run the op
+                # itself inline.
+                if not self._chunk_ready():
+                    self.state = DriverState.BLOCKED
+                    return
                 continue
-            # K_FENCE: BulkSC needs no fence work, just chunk accounting.
-            chunk_instr += 1
-            retired += 1
-            pc += 1
-            if cursor >= batch_end:
-                break
-        # Batch budget exhausted: sync and yield to the event loop.
-        thread.pc = pc
-        thread.retired_instructions = retired
-        thread.finished = pc >= n
-        window.retire_cursor = cursor
-        window._window_instructions = win_instr
-        l1.hits = l1_hits
-        mem.reads = mem_reads
-        if chunk is not None:
-            chunk.instructions = chunk_instr
+            # The chunk is ready (boundaries were handled above), so the op
+            # goes straight to its handler.
+            if not self.dispatch(ops[pc]):
+                self.state = DriverState.BLOCKED
+                return
+            thread.advance()
+            if window.retire_cursor >= batch_end:
+                return
 
     # ------------------------------------------------------------------
     def _check_overflow(self, line: int) -> bool:

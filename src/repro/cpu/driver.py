@@ -19,10 +19,21 @@ from abc import ABC, abstractmethod
 from enum import Enum
 from typing import Optional, TYPE_CHECKING
 
-from repro.cpu.isa import Op
+from repro.cpu.isa import (
+    Barrier,
+    Compute,
+    Fence,
+    Io,
+    Load,
+    LockAcquire,
+    LockRelease,
+    Op,
+    SpinUntil,
+    Store,
+)
 from repro.cpu.thread import ThreadContext
 from repro.cpu.window import RetirementWindow
-from repro.errors import SimulationError
+from repro.errors import ProgramError, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.system import Machine
@@ -34,11 +45,37 @@ class DriverState(Enum):
     FINISHED = "finished"
 
 
+#: Op class -> name of the model method that executes it.  Keyed by class,
+#: not OpKind: enum members hash through the Python-level Enum.__hash__,
+#: a call per lookup.
+_HANDLER_NAMES = {
+    Compute: "_execute_compute",
+    Load: "_execute_load",
+    Store: "_execute_store",
+    LockAcquire: "_execute_acquire",
+    LockRelease: "_execute_release",
+    Barrier: "_execute_barrier",
+    Fence: "_execute_fence",
+    SpinUntil: "_execute_spin",
+    Io: "_execute_io",
+}
+
+
 class ProcessorDriver(ABC):
     """Walks one thread's program under a consistency model."""
 
     #: Cursor advance per event before yielding to the event loop.
     batch_cycles: float = 40.0
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # The dispatch table, built once per class so that each model's
+        # overrides are the handlers it holds.
+        cls._handlers = {
+            op: getattr(cls, name)
+            for op, name in _HANDLER_NAMES.items()
+            if hasattr(cls, name)
+        }
 
     def __init__(self, proc: int, thread: ThreadContext, machine: "Machine"):
         self.proc = proc
@@ -78,24 +115,36 @@ class ProcessorDriver(ABC):
     def _run_until(self, batch_end: float) -> None:
         """Execute ops until the cursor passes ``batch_end``, blocks, or ends.
 
-        This is the scalar reference interpreter: one dispatch through
-        :meth:`execute_op` per micro-op.  Models may override it with a
-        batched implementation, provided the result is bit-identical
-        (same stats, same traces, same blocking points).
+        This is the scalar interpreter: one dispatch through
+        :meth:`execute_op` per micro-op, indexing the program's op tuple
+        directly with :meth:`ThreadContext.advance` inlined.  Models may
+        override it with a batched implementation, provided the result is
+        bit-identical (same stats, same traces, same blocking points).
         """
-        while self.state is DriverState.RUNNING:
-            op = self.thread.current_op()
-            if op is None:
+        thread = self.thread
+        ops = thread.program.ops
+        n = len(ops)
+        execute = self.execute_op
+        window = self.window
+        running = DriverState.RUNNING
+        while self.state is running:
+            pc = thread.pc
+            if pc >= n:
                 self._finish()
                 return
-            proceed = self.execute_op(op)
-            if not proceed:
+            if not execute(ops[pc]):
                 # The model blocked on this op; it will call
                 # :meth:`wake_retry` or :meth:`wake_advance` later.
                 self.state = DriverState.BLOCKED
                 return
-            self.thread.advance()
-            if self.window.now >= batch_end:
+            pc = thread.pc
+            if pc >= n:
+                raise ProgramError(f"proc {self.proc}: advance past program end")
+            thread.retired_instructions += ops[pc].instruction_count
+            thread.pc = pc = pc + 1
+            if pc >= n:
+                thread.finished = True
+            if window.retire_cursor >= batch_end:
                 break
 
     def _finish(self) -> None:
@@ -149,6 +198,14 @@ class ProcessorDriver(ABC):
         (the model must arrange a later wake-up).
         """
 
+    def dispatch(self, op: Op) -> bool:
+        """Execute ``op`` with this model's handler for its op class."""
+        try:
+            handler = self._handlers[type(op)]
+        except KeyError:
+            raise ProgramError(f"unknown op {op!r}") from None
+        return handler(self, op)
+
     def on_program_end(self) -> bool:
         """Hook: flush model state (store buffers, final chunk commit).
 
@@ -160,4 +217,4 @@ class ProcessorDriver(ABC):
     # ------------------------------------------------------------------
     @property
     def now(self) -> float:
-        return self.window.now
+        return self.window.retire_cursor

@@ -71,15 +71,10 @@ class Op:
 
     __slots__ = ()
     kind: OpKind
-
-    @property
-    def instruction_count(self) -> int:
-        """Dynamic instructions this micro-op represents (chunk sizing)."""
-        return 1
-
-    @property
-    def is_memory(self) -> bool:
-        return False
+    #: Dynamic instructions this micro-op represents (chunk sizing).
+    #: Plain class attributes, not properties: run loops read them per op.
+    instruction_count = 1
+    is_memory = False
 
 
 @dataclass(frozen=True)
@@ -89,10 +84,7 @@ class Load(Op):
     reg: str
     addr: int
     kind = OpKind.LOAD
-
-    @property
-    def is_memory(self) -> bool:
-        return True
+    is_memory = True
 
 
 @dataclass(frozen=True)
@@ -102,10 +94,7 @@ class Store(Op):
     addr: int
     value: Operand
     kind = OpKind.STORE
-
-    @property
-    def is_memory(self) -> bool:
-        return True
+    is_memory = True
 
 
 @dataclass(frozen=True)
@@ -130,14 +119,8 @@ class LockAcquire(Op):
 
     addr: int
     kind = OpKind.ACQUIRE
-
-    @property
-    def is_memory(self) -> bool:
-        return True
-
-    @property
-    def instruction_count(self) -> int:
-        return 2
+    is_memory = True
+    instruction_count = 2
 
 
 @dataclass(frozen=True)
@@ -146,10 +129,7 @@ class LockRelease(Op):
 
     addr: int
     kind = OpKind.RELEASE
-
-    @property
-    def is_memory(self) -> bool:
-        return True
+    is_memory = True
 
 
 @dataclass(frozen=True)
@@ -175,10 +155,7 @@ class SpinUntil(Op):
     addr: int
     value: int
     kind = OpKind.SPIN_UNTIL
-
-    @property
-    def is_memory(self) -> bool:
-        return True
+    is_memory = True
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.cpu.isa import Op
 from repro.errors import ProgramError
@@ -12,10 +12,19 @@ class ThreadProgram:
     """An immutable straight-line sequence of micro-ops."""
 
     def __init__(self, ops: Sequence[Op], name: str = "program"):
-        self._ops: List[Op] = list(ops)
+        self._ops: Tuple[Op, ...] = tuple(ops)
         self.name = name
-        self._total_instructions = sum(op.instruction_count for op in self._ops)
-        self._memory_ops = sum(1 for op in self._ops if op.is_memory)
+        instructions = memory_ops = 0
+        for op in self._ops:
+            instructions += op.instruction_count
+            memory_ops += op.is_memory
+        self._total_instructions = instructions
+        self._memory_ops = memory_ops
+
+    @property
+    def ops(self) -> Tuple[Op, ...]:
+        """The op sequence, for run loops that index it directly."""
+        return self._ops
 
     def __len__(self) -> int:
         return len(self._ops)
@@ -54,16 +63,17 @@ class ThreadContext:
         self.retired_instructions = 0
 
     def current_op(self) -> Optional[Op]:
-        if self.pc >= len(self.program):
-            return None
-        return self.program[self.pc]
+        ops = self.program._ops
+        return ops[self.pc] if self.pc < len(ops) else None
 
     def advance(self) -> None:
-        if self.pc >= len(self.program):
+        ops = self.program._ops
+        pc = self.pc
+        if pc >= len(ops):
             raise ProgramError(f"proc {self.proc}: advance past program end")
-        self.retired_instructions += self.program[self.pc].instruction_count
-        self.pc += 1
-        if self.pc >= len(self.program):
+        self.retired_instructions += ops[pc].instruction_count
+        self.pc = pc = pc + 1
+        if pc >= len(ops):
             self.finished = True
 
     def write_register(self, name: str, value: int) -> None:

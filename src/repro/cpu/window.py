@@ -65,15 +65,13 @@ class RetirementWindow:
         return max(0.0, retire_time - into_entry * self._per_instruction)
 
     def _push(self, retire_time: float, instructions: int) -> None:
-        self._window.append((retire_time, instructions))
-        self._window_instructions += instructions
-        while (
-            self._window
-            and self._window_instructions - self._window[0][1]
-            >= self.config.instruction_window
-        ):
-            __, count = self._window.popleft()
-            self._window_instructions -= count
+        window = self._window
+        window.append((retire_time, instructions))
+        total = self._window_instructions + instructions
+        need = self.config.instruction_window
+        while window and total - window[0][1] >= need:
+            total -= window.popleft()[1]
+        self._window_instructions = total
 
     # ------------------------------------------------------------------
     def retire_compute(self, instructions: int) -> float:
