@@ -465,15 +465,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument(
         "--target",
         default="litmus",
-        choices=["litmus", "synthetic"],
-        help="workload to profile (default litmus)",
+        choices=["litmus", "synthetic", "build"],
+        help="workload to profile: the litmus sweep, one synthetic app's "
+        "simulation, or building all 13 Figure 9 apps' inputs (default litmus)",
     )
     p_prof.add_argument("--config", default="BSCdypvt", help="configuration name")
     p_prof.add_argument(
         "--instructions",
         type=int,
         default=4000,
-        help="instructions per thread for the synthetic target",
+        help="instructions per thread for the synthetic and build targets",
     )
     p_prof.add_argument("--seed", type=int, default=0, help="workload seed")
     p_prof.add_argument(

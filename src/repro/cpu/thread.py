@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.cpu.isa import Op
+from repro.cpu.isa import Barrier, Compute, Op
 from repro.errors import ProgramError
 
 
@@ -14,12 +14,22 @@ class ThreadProgram:
     def __init__(self, ops: Sequence[Op], name: str = "program"):
         self._ops: Tuple[Op, ...] = tuple(ops)
         self.name = name
+        # One pass counts instructions and memory ops and collects the
+        # barriers, so workload validation need not re-scan every op.
         instructions = memory_ops = 0
+        barriers = []
         for op in self._ops:
+            if op.__class__ is Compute:
+                instructions += op.count
+                continue
             instructions += op.instruction_count
-            memory_ops += op.is_memory
+            if op.is_memory:
+                memory_ops += 1
+            elif isinstance(op, Barrier):
+                barriers.append(op)
         self._total_instructions = instructions
         self._memory_ops = memory_ops
+        self._barriers: Tuple[Barrier, ...] = tuple(barriers)
 
     @property
     def ops(self) -> Tuple[Op, ...]:
@@ -43,6 +53,11 @@ class ThreadProgram:
     @property
     def memory_op_count(self) -> int:
         return self._memory_ops
+
+    @property
+    def barriers(self) -> Tuple[Barrier, ...]:
+        """The program's :class:`~repro.cpu.isa.Barrier` ops, in order."""
+        return self._barriers
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -11,9 +11,27 @@ from __future__ import annotations
 
 import random
 import zlib
-from typing import List, Sequence, TypeVar
+from typing import Callable, List, Sequence, TypeVar
 
 T = TypeVar("T")
+
+
+def randbelow(getrandbits: Callable[[int], int], n: int) -> int:
+    """A uniform int in ``[0, n)`` drawn from ``getrandbits``; ``n >= 1``.
+
+    The one draw kernel behind :meth:`DeterministicRng.randint` and
+    :meth:`DeterministicRng.shuffle`.  It is CPython's
+    ``Random._randbelow_with_getrandbits`` rejection sampling (unchanged
+    from 3.10 through 3.13), so a stream drawn through it equals
+    ``random.Random``'s stream value for value; ``tests/test_engine_rng.py``
+    pins that.  Hot loops bind it with :attr:`DeterministicRng.raw_getrandbits`
+    and add their draws to :attr:`DeterministicRng.draws` in bulk.
+    """
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
 
 
 class DeterministicRng:
@@ -48,10 +66,23 @@ class DeterministicRng:
         child_seed = (self.seed * 0x9E3779B1 + digest) & 0x7FFFFFFFFFFFFFFF
         return DeterministicRng(child_seed)
 
-    # Thin wrappers over random.Random -------------------------------------
+    # Uncounted primitives, for hot loops that draw through randbelow and
+    # add their draws to ``draws`` themselves -------------------------------
+    @property
+    def raw_getrandbits(self) -> Callable[[int], int]:
+        return self._random.getrandbits
+
+    @property
+    def raw_random(self) -> Callable[[], float]:
+        return self._random.random
+
+    # Counted draws, each equal to the same random.Random call ------------
     def randint(self, lo: int, hi: int) -> int:
         self.draws += 1
-        return self._random.randint(lo, hi)
+        n = hi - lo + 1
+        if n <= 0:
+            raise ValueError(f"empty range for randint({lo}, {hi})")
+        return lo + randbelow(self._random.getrandbits, n)
 
     def random(self) -> float:
         self.draws += 1
@@ -66,8 +97,12 @@ class DeterministicRng:
         return self._random.choice(seq)
 
     def shuffle(self, seq: List[T]) -> None:
+        """In-place Fisher-Yates, the same permutation as ``Random.shuffle``."""
         self.draws += 1
-        self._random.shuffle(seq)
+        getrandbits = self._random.getrandbits
+        for i in range(len(seq) - 1, 0, -1):
+            j = randbelow(getrandbits, i + 1)
+            seq[i], seq[j] = seq[j], seq[i]
 
     def sample(self, seq: Sequence[T], k: int) -> List[T]:
         self.draws += 1

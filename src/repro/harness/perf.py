@@ -235,6 +235,11 @@ def profile_run(
 ) -> str:
     """Run one workload under :mod:`cProfile`; return the top-N report.
 
+    ``target`` is ``litmus`` (the commit-heavy litmus sweep),
+    ``synthetic`` (one app's simulation, inputs built outside the
+    profile) or ``build`` (generating the 13 Figure 9 apps' inputs once,
+    no simulation).
+
     The text report is the classic pstats table followed by a rollup of
     ``tottime`` per simulator subsystem (``cpu``/``engine``/
     ``signatures``/``core``/...).  With ``as_json`` the same data is
@@ -263,6 +268,14 @@ def profile_run(
                 workload.address_space,
                 record_history=False,
             )
+    elif target == "build":
+        from repro.harness.runner import ALL_APPS, build_app_workload
+
+        config = NAMED_CONFIGS[config_name](seed=seed)
+
+        def work() -> None:
+            for app_name in ALL_APPS:
+                build_app_workload(app_name, config, instructions, seed)
     else:
         raise ValueError(f"unknown profile target {target!r}")
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.cpu.isa import (
     Barrier,
@@ -15,12 +15,22 @@ from repro.cpu.isa import (
     LockRelease,
     Op,
     Operand,
+    RegPlus,
     SpinUntil,
     Store,
 )
 from repro.cpu.thread import ThreadProgram
 from repro.errors import ProgramError
 from repro.memory.address import AddressSpace
+
+#: Interned compute bursts.  Generators emit hundreds of thousands of
+#: short bursts; ops are frozen and compare by value, so one shared
+#: instance per small count is indistinguishable from fresh ones.
+_SMALL_COMPUTE = tuple(Compute(count) for count in range(64))
+
+
+def _compute_op(count: int) -> Compute:
+    return _SMALL_COMPUTE[count] if count < len(_SMALL_COMPUTE) else Compute(count)
 
 
 class ProgramBuilder:
@@ -47,7 +57,7 @@ class ProgramBuilder:
         if count < 0:
             raise ProgramError(f"compute count must be >= 0, got {count}")
         if count > 0:
-            self._ops.append(Compute(count))
+            self._ops.append(_compute_op(count))
         return self
 
     def acquire(self, lock_addr: int) -> "ProgramBuilder":
@@ -80,10 +90,35 @@ class ProgramBuilder:
         self._reg_counter += 1
         reg = f"t{self._reg_counter}"
         self._ops.append(Load(reg, addr))
-        self._ops.append(Compute(2))
-        from repro.cpu.isa import RegPlus
-
+        self._ops.append(_compute_op(2))
         self._ops.append(Store(addr, RegPlus(reg, addend)))
+        return self
+
+    def spaced(
+        self, accesses: Sequence[Union[int, Op]], per_gap: float
+    ) -> "ProgramBuilder":
+        """Emit ``accesses`` separated by ``per_gap`` compute instructions.
+
+        An int access is a load of that word into a fresh register, as
+        :meth:`load` names it; an op is emitted as is.  The fractional
+        gaps accumulate, and whenever a whole instruction or more has
+        built up after an access it is emitted there as one burst.
+        """
+        emit = self._ops.append
+        reg = self._reg_counter
+        carry = 0.0
+        for access in accesses:
+            if access.__class__ is int:
+                reg += 1
+                emit(Load(f"t{reg}", access))
+            else:
+                emit(access)
+            carry += per_gap
+            if carry >= 1.0:
+                burst = int(carry)
+                emit(_compute_op(burst))
+                carry -= burst
+        self._reg_counter = reg
         return self
 
     def critical_section(
@@ -129,9 +164,7 @@ def validate_barriers(programs: List[ThreadProgram]) -> None:
     declared: Dict[int, int] = {}
     uses: Dict[int, Dict[int, int]] = {}  # barrier_id -> thread -> count
     for thread, program in enumerate(programs):
-        for op in program:
-            if not isinstance(op, Barrier):
-                continue
+        for op in program.barriers:
             seen = declared.get(op.barrier_id)
             if seen is None:
                 declared[op.barrier_id] = op.participants

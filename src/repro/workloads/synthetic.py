@@ -9,9 +9,10 @@ the correctness tests.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Union
 
-from repro.engine.rng import DeterministicRng
+from repro.cpu.isa import Store
+from repro.engine.rng import DeterministicRng, randbelow
 from repro.memory.address import AddressMap, AddressSpace
 from repro.params import SystemConfig
 from repro.workloads.profiles import AppProfile, SharingPattern
@@ -67,25 +68,27 @@ class _ProfileThreadGenerator:
         self.rng = rng
         self.instructions = instructions
         self.wpl = space.map.words_per_line
+        self._partition_lines = profile.partition_lines
         if profile.pattern is SharingPattern.SCATTER:
             # One global array (e.g. radix's key array): every thread's
             # slice shares the same region's high address bits, which is
             # exactly what saturates the signature banks and reproduces
             # radix's pathological aliasing.
-            shared_array = space.region("shared_array")
-            self.partitions = [shared_array] * num_threads
-            self._scatter_array = True
-        else:
-            self.partitions = [
-                space.region(f"shared_part_{p}") for p in range(num_threads)
+            array_start = space.region("shared_array").start_word
+            slice_words = self._partition_lines * self.wpl
+            #: First word of each thread's shared partition (array slice).
+            self._partition_starts = [
+                array_start + owner * slice_words for owner in range(num_threads)
             ]
-            self._scatter_array = False
+        else:
+            self._partition_starts = [
+                space.region(f"shared_part_{p}").start_word for p in range(num_threads)
+            ]
         self.hot = space.region("hot_set")
         self.locks = space.region("locks") if profile.locks else None
         self.private = space.region(f"private_heap_{proc}")
         self.stack = space.region(f"stack_{proc}")
         self.builder = ProgramBuilder(name=f"{profile.name}.t{proc}")
-        self._partition_lines = profile.partition_lines
         self._interval_index = 0
         # Hot private window: the lines written every interval.  Starts at
         # a per-thread offset and creeps forward by private_turnover lines
@@ -95,37 +98,62 @@ class _ProfileThreadGenerator:
         self._stack_hot = 8  # active frames
 
     # -- address selection ------------------------------------------------
+    # The per-access loops below (shared reads, private traffic) draw
+    # through the rng's uncounted kernel and add their draws in bulk: the
+    # same stream and counts as one randint/random call per draw.
     def _word_in_line(self, region_start: int, line_index: int) -> int:
         return region_start + line_index * self.wpl + self.rng.randint(0, self.wpl - 1)
 
-    def _partition_word(self, owner: int, line: int) -> int:
-        if self._scatter_array:
-            line = owner * self._partition_lines + line
-        return self._word_in_line(self.partitions[owner].start_word, line)
-
     def _own_partition_word(self) -> int:
-        return self._partition_word(
-            self.proc, self.rng.randint(0, self._partition_lines - 1)
-        )
+        line = self.rng.randint(0, self._partition_lines - 1)
+        return self._word_in_line(self._partition_starts[self.proc], line)
 
     def _any_partition_word(self) -> int:
         owner = self.rng.randint(0, self.num_threads - 1)
-        return self._partition_word(
-            owner, self.rng.randint(0, self._partition_lines - 1)
-        )
+        line = self.rng.randint(0, self._partition_lines - 1)
+        return self._word_in_line(self._partition_starts[owner], line)
 
-    def _neighbor_boundary_word(self) -> int:
-        neighbor = (self.proc + 1) % self.num_threads
-        boundary = max(1, self._partition_lines // 16)
-        return self._partition_word(neighbor, self.rng.randint(0, boundary - 1))
+    def _shared_read_words(self, count: int) -> List[int]:
+        """``count`` shared-read words, per the profile's sharing pattern.
 
-    def _shared_read_word(self) -> int:
+        Read-wide and migratory apps read any partition; partitioned apps
+        read their own, and 12% of the time the neighbour's boundary
+        lines; scatter apps read their own slice of the global array.
+        """
+        rng = self.rng
+        getrandbits = rng.raw_getrandbits
+        wpl = self.wpl
+        lines = self._partition_lines
+        starts = self._partition_starts
+        own = starts[self.proc]
         pattern = self.profile.pattern
         if pattern in (SharingPattern.READ_WIDE, SharingPattern.MIGRATORY):
-            return self._any_partition_word()
-        if pattern is SharingPattern.PARTITIONED and self.rng.random() < 0.12:
-            return self._neighbor_boundary_word()
-        return self._own_partition_word()
+            threads = self.num_threads
+            words = [
+                starts[randbelow(getrandbits, threads)]
+                + randbelow(getrandbits, lines) * wpl
+                + randbelow(getrandbits, wpl)
+                for __ in range(count)
+            ]
+            rng.draws += 3 * count
+        elif pattern is SharingPattern.PARTITIONED:
+            random = rng.raw_random
+            neighbor = starts[(self.proc + 1) % self.num_threads]
+            boundary = max(1, lines // 16)
+            words = [
+                neighbor + randbelow(getrandbits, boundary) * wpl + randbelow(getrandbits, wpl)
+                if random() < 0.12
+                else own + randbelow(getrandbits, lines) * wpl + randbelow(getrandbits, wpl)
+                for __ in range(count)
+            ]
+            rng.draws += 3 * count
+        else:
+            words = [
+                own + randbelow(getrandbits, lines) * wpl + randbelow(getrandbits, wpl)
+                for __ in range(count)
+            ]
+            rng.draws += 2 * count
+        return words
 
     def _shared_write_word(self) -> int:
         if self.profile.pattern is SharingPattern.SCATTER:
@@ -142,18 +170,34 @@ class _ProfileThreadGenerator:
         line = lock_index * slice_size + self.rng.randint(0, slice_size - 1)
         return self._word_in_line(self.hot.start_word, line % self.profile.hot_lines)
 
-    def _private_write_word(self) -> int:
-        if self.rng.random() < self.profile.stack_fraction:
-            line = self.rng.randint(0, self._stack_hot - 1)
-            return self._word_in_line(self.stack.start_word, line)
-        start = int(self._priv_window_start)
-        line = (start + self.rng.randint(0, self._priv_window - 1)) % self.profile.private_lines
-        return self._word_in_line(self.private.start_word, line)
+    def _private_words(self, count: int) -> List[int]:
+        """``count`` private-access words (reads and writes alike).
 
-    def _private_read_word(self) -> int:
-        # Reads concentrate on the same hot window, adding few new lines
-        # to the chunk's read set.
-        return self._private_write_word()
+        A ``stack_fraction`` share goes to the active stack frames, the
+        rest to the hot private-heap window, so reads add few new lines
+        to the chunk's read set.
+        """
+        rng = self.rng
+        getrandbits = rng.raw_getrandbits
+        random = rng.raw_random
+        wpl = self.wpl
+        stack_fraction = self.profile.stack_fraction
+        stack = self.stack.start_word
+        stack_hot = self._stack_hot
+        heap = self.private.start_word
+        window_start = int(self._priv_window_start)
+        window = self._priv_window
+        private_lines = self.profile.private_lines
+        words = [
+            stack + randbelow(getrandbits, stack_hot) * wpl + randbelow(getrandbits, wpl)
+            if random() < stack_fraction
+            else heap
+            + ((window_start + randbelow(getrandbits, window)) % private_lines) * wpl
+            + randbelow(getrandbits, wpl)
+            for __ in range(count)
+        ]
+        rng.draws += 3 * count
+        return words
 
     def _lock_addr(self, index: int) -> int:
         assert self.locks is not None
@@ -163,12 +207,14 @@ class _ProfileThreadGenerator:
     def emit_interval(self) -> None:
         """Emit roughly one chunk's worth (~1,000 instructions) of work."""
         profile = self.profile
+        rng = self.rng
         self._interval_index += 1
+        interval = self._interval_index
         self._priv_window_start = (
             self._priv_window_start + profile.private_turnover
         ) % max(1, profile.private_lines)
         memory_budget = int(INTERVAL_INSTRUCTIONS * profile.memory_fraction)
-        publishing = self.rng.random() < profile.shared_write_frequency
+        publishing = rng.random() < profile.shared_write_frequency
         # Distinct word sets for this interval.  The profile's read-set
         # target counts *all* lines read per chunk (the paper's Table 3
         # definition), so the private hot window's contribution comes out
@@ -177,7 +223,7 @@ class _ProfileThreadGenerator:
         shared_read_count = max(
             2, int(round(profile.shared_read_lines)) - private_read_lines
         )
-        read_words = [self._shared_read_word() for __ in range(shared_read_count)]
+        read_words = self._shared_read_words(shared_read_count)
         write_words = (
             [
                 self._shared_write_word()
@@ -187,55 +233,44 @@ class _ProfileThreadGenerator:
             else []
         )
         # Access streams: each shared read line touched ~1.3 times; the
-        # rest of the memory budget goes to hot private traffic.
-        ops: List[tuple] = []
+        # rest of the memory budget goes to hot private traffic.  An int
+        # access is a load of that word; stores are built as ops.
+        ops: List[Union[int, Store]] = []
+        random = rng.raw_random
         for word in read_words:
-            ops.append(("sr", word))
-            if self.rng.random() < 0.3:
-                ops.append(("sr", word))
-        hot_reads = int(memory_budget * self.profile.hot_fraction)
+            ops.append(word)
+            if random() < 0.3:
+                ops.append(word)
+        rng.draws += len(read_words)
+        hot_reads = int(memory_budget * profile.hot_fraction)
         for __ in range(hot_reads):
-            ops.append(("sr", self._hot_read_word()))
+            ops.append(self._hot_read_word())
         private_writes = max(1, int(round(profile.private_write_lines * 2.0)))
-        for __ in range(private_writes):
-            ops.append(("pw", self._private_write_word()))
-        remaining = memory_budget - len(ops)
-        for __ in range(max(0, remaining)):
-            ops.append(("pr", self._private_read_word()))
-        self.rng.shuffle(ops)
+        private_reads = max(0, memory_budget - len(ops) - private_writes)
+        private = self._private_words(private_writes + private_reads)
+        ops.extend([Store(word, interval) for word in private[:private_writes]])
+        ops.extend(private[private_writes:])
+        rng.shuffle(ops)
         # Publishing writes go in as one contiguous burst so they land in
         # a single chunk — shared-data publication is phase-like in real
         # applications, which is what makes most commits' W empty.
         if write_words:
-            insert_at = self.rng.randint(0, len(ops))
-            ops[insert_at:insert_at] = [("sw", word) for word in write_words]
+            insert_at = rng.randint(0, len(ops))
+            ops[insert_at:insert_at] = [Store(word, interval) for word in write_words]
         total_memory = len(ops)
         compute_budget = INTERVAL_INSTRUCTIONS - total_memory
-        per_gap = compute_budget / max(1, total_memory)
-        carry = 0.0
         in_critical = (
             profile.locks > 0
             and profile.lock_interval > 0
-            and self._interval_index % profile.lock_interval == 0
+            and interval % profile.lock_interval == 0
         )
         if in_critical:
-            lock_index = self.rng.randint(0, profile.locks - 1)
+            lock_index = rng.randint(0, profile.locks - 1)
             self.builder.acquire(self._lock_addr(lock_index))
             for __ in range(profile.critical_section_lines):
                 self.builder.read_modify_write(self._lock_hot_word(lock_index))
             self.builder.release(self._lock_addr(lock_index))
-        for kind, word in ops:
-            if kind == "sr" or kind == "pr":
-                self.builder.load(word)
-            elif kind == "sw":
-                self.builder.store(word, self._interval_index)
-            else:
-                self.builder.store(word, self._interval_index)
-            carry += per_gap
-            if carry >= 1.0:
-                burst = int(carry)
-                self.builder.compute(burst)
-                carry -= burst
+        self.builder.spaced(ops, compute_budget / max(1, total_memory))
 
     def _emit_warmup(self) -> None:
         """Initialize the private working set (one concentrated burst).

@@ -61,6 +61,20 @@ class TestExperiments:
         assert "Figure 9" in out and "G.M." in out
 
 
+class TestProfile:
+    def test_build_target_profiles_generation_only(self, capsys):
+        code = main(
+            ["profile", "--target", "build", "--instructions", "1000", "--json"]
+        )
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["target"] == "build"
+        assert "workloads" in payload["subsystems"]
+        # Inputs only: nothing is simulated.
+        assert "core" not in payload["subsystems"]
+        assert "coherence" not in payload["subsystems"]
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):

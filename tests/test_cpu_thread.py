@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cpu.checkpoint import Checkpoint
-from repro.cpu.isa import Compute, Load, Store
+from repro.cpu.isa import Barrier, Compute, Fence, LockAcquire, Load, Store
 from repro.cpu.thread import ThreadContext, ThreadProgram
 from repro.errors import ProgramError
 
@@ -20,6 +20,14 @@ class TestThreadProgram:
         assert len(program) == 3
         assert program.total_instructions == 12
         assert program.memory_op_count == 2
+
+    def test_counting_pass_collects_barriers(self):
+        ops = [Barrier(1, 2), LockAcquire(8), Compute(7), Fence(), Barrier(2, 2)]
+        program = ThreadProgram(ops)
+        assert program.total_instructions == 1 + 2 + 7 + 1 + 1
+        assert program.memory_op_count == 1
+        assert program.barriers == (Barrier(1, 2), Barrier(2, 2))
+        assert make_program().barriers == ()
 
     def test_indexing_and_iteration(self):
         program = make_program()

@@ -1,8 +1,10 @@
 """Unit tests for deterministic randomness."""
 
+import random
+
 import pytest
 
-from repro.engine.rng import DeterministicRng
+from repro.engine.rng import DeterministicRng, randbelow
 
 
 def test_same_seed_same_stream():
@@ -113,3 +115,71 @@ class TestDrawAccounting:
         rng = DeterministicRng(4)
         rng.fork("child")
         assert rng.draws == 0
+
+
+class TestStreamEquivalence:
+    """The draw kernel must reproduce ``random.Random`` value for value.
+
+    ``randint`` and ``shuffle`` re-implement CPython's rejection sampling
+    on ``getrandbits``; these pin them to the interpreter's own
+    algorithm, so a CPython release that changes it fails here rather
+    than silently changing every generated workload.
+    """
+
+    SEEDS = range(25)
+    #: Range widths: one value, powers of two (the worst rejection
+    #: rate), their neighbours, and widths past 32 and 64 bits.
+    WIDTHS = (1, 2, 3, 7, 8, 9, 16, 64, 100, 1024, 10**9, 2**32, 2**40, 2**64 + 1)
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_randint_matches_random(self, width):
+        for seed in self.SEEDS:
+            ours, ref = DeterministicRng(seed), random.Random(seed)
+            lo = seed - 3
+            got = [ours.randint(lo, lo + width - 1) for _ in range(40)]
+            assert got == [ref.randint(lo, lo + width - 1) for _ in range(40)]
+
+    def test_mixed_stream_matches_random(self):
+        # Interleaved calls share one underlying state: the kernel must
+        # consume exactly the bits random.Random would.
+        for seed in self.SEEDS:
+            ours, ref = DeterministicRng(seed), random.Random(seed)
+            for step in range(200):
+                width = self.WIDTHS[step % len(self.WIDTHS)]
+                assert ours.randint(0, width - 1) == ref.randint(0, width - 1)
+                assert ours.random() == ref.random()
+
+    @pytest.mark.parametrize("length", [0, 1, 2, 3, 8, 17, 300])
+    def test_shuffle_matches_random(self, length):
+        for seed in self.SEEDS:
+            ours, ref = DeterministicRng(seed), random.Random(seed)
+            a, b = list(range(length)), list(range(length))
+            ours.shuffle(a)
+            ref.shuffle(b)
+            assert a == b
+            assert ours.randint(0, 10**9) == ref.randint(0, 10**9)
+
+    def test_raw_primitives_share_the_stream(self):
+        ours, ref = DeterministicRng(3), random.Random(3)
+        assert randbelow(ours.raw_getrandbits, 1000) == ref.randrange(1000)
+        assert ours.raw_random() == ref.random()
+        assert ours.randint(0, 99) == ref.randint(0, 99)
+        assert ours.draws == 1  # the raw primitives are uncounted
+
+    def test_empty_range_raises(self):
+        with pytest.raises(ValueError):
+            DeterministicRng(0).randint(5, 4)
+        with pytest.raises(ValueError):
+            random.Random(0).randint(5, 4)
+
+    def test_randint_counts_one_draw_per_call(self):
+        rng = DeterministicRng(6)
+        for width in self.WIDTHS:
+            before = rng.draws
+            rng.randint(0, width - 1)
+            assert rng.draws == before + 1
+
+    def test_shuffle_counts_one_draw(self):
+        rng = DeterministicRng(6)
+        rng.shuffle(list(range(100)))
+        assert rng.draws == 1

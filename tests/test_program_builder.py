@@ -8,7 +8,7 @@ behaviour, once through :func:`repro.analysis.footprint.analyze_programs`.
 import pytest
 
 from repro.analysis.footprint import analyze_programs
-from repro.cpu.isa import Barrier, Load, Store
+from repro.cpu.isa import Barrier, Compute, Load, Store
 from repro.cpu.thread import ThreadProgram
 from repro.errors import ProgramError
 from repro.memory.address import AddressMap, AddressSpace
@@ -39,6 +39,18 @@ class TestBuilderEdgeCases:
         builder = ProgramBuilder().load(0x10).load(0x20).load(0x30)
         regs = [op.reg for op in builder.ops()]
         assert len(set(regs)) == 3
+
+    def test_spaced_loads_stores_and_compute_gaps(self):
+        builder = ProgramBuilder().load(0x8)
+        builder.spaced([0x10, Store(0x18, 4), 0x20], per_gap=1.5)
+        assert builder.ops() == [
+            Load("t1", 0x8),
+            Load("t2", 0x10), Compute(1),
+            Store(0x18, 4), Compute(2),
+            Load("t3", 0x20), Compute(1),
+        ]
+        builder.read_modify_write(0x28)
+        assert builder.ops()[-3] == Load("t4", 0x28)
 
     def test_duplicate_register_name_warned_by_analyzer(self):
         builder = ProgramBuilder().load(0x10, reg="r1").load(0x20, reg="r1")
